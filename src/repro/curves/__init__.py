@@ -6,18 +6,10 @@ Public surface:
 * :class:`CurveEnsemble` — weighted combination + posterior.
 * :class:`EnsembleSampler` — affine-invariant MCMC.
 * :class:`CurvePredictor` and its backends — what POP consumes.
-* :class:`ParallelPredictionService` / :class:`FitCache` — the §5.2
-  prediction engine: process-pool fan-out and prefix-keyed fit reuse.
 """
 
-from .engine import (
-    FitCache,
-    ParallelPredictionService,
-    PredictionEngineError,
-    unwrap_service,
-)
 from .ensemble import CurveEnsemble
-from .fitting import ModelFit, curve_cache_key, fit_all_models, fit_model
+from .fitting import ModelFit, fit_all_models, fit_model
 from .mcmc import EnsembleSampler, SamplerResult
 from .models import CURVE_MODELS, CurveModel, get_model, model_names
 from .predictor import (
@@ -36,11 +28,6 @@ __all__ = [
     "ModelFit",
     "fit_model",
     "fit_all_models",
-    "curve_cache_key",
-    "FitCache",
-    "ParallelPredictionService",
-    "PredictionEngineError",
-    "unwrap_service",
     "CurveEnsemble",
     "EnsembleSampler",
     "SamplerResult",

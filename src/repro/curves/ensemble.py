@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fitting import ModelFit, fit_all_models
+from .fitting import fit_all_models
 from .models import CURVE_MODELS, CurveModel
 
 __all__ = ["CurveEnsemble"]
@@ -254,7 +254,6 @@ class CurveEnsemble:
     def initial_vector(
         self,
         y: Sequence[float],
-        fits: Optional[Dict[str, ModelFit]] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Build a good packed starting point from per-model LS fits.
@@ -265,8 +264,7 @@ class CurveEnsemble:
         if rng is None:
             rng = np.random.default_rng(0)
         y_arr = np.asarray(y, dtype=float)
-        if fits is None:
-            fits = fit_all_models(y_arr, models=self.models, rng=rng)
+        fits = fit_all_models(y_arr, models=self.models, rng=rng)
         thetas = {}
         inv_mse = np.empty(self.num_models)
         for k, model in enumerate(self.models):

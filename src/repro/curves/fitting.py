@@ -11,32 +11,15 @@ Fitting provides two things to the rest of the curve-prediction stack:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
 
 from .models import CURVE_MODELS, CurveModel
 
-__all__ = ["ModelFit", "fit_model", "fit_all_models", "curve_cache_key"]
-
-#: Key type of a fit-cache prefix: (prefix length, digest of the bytes).
-CurveKey = Tuple[int, bytes]
-
-
-def curve_cache_key(y: np.ndarray) -> CurveKey:
-    """Stable cache key of one observed-curve prefix.
-
-    The digest is computed over the raw float64 bytes, so two prefixes
-    compare equal exactly when every observation is bit-identical —
-    the same criterion under which a refit would reproduce the same
-    :class:`ModelFit`.
-    """
-    y_arr = np.ascontiguousarray(y, dtype=float)
-    digest = hashlib.blake2b(y_arr.tobytes(), digest_size=16).digest()
-    return (int(y_arr.size), digest)
+__all__ = ["ModelFit", "fit_model", "fit_all_models"]
 
 
 @dataclass(frozen=True)
@@ -111,7 +94,6 @@ def fit_model(
     rng: Optional[np.random.Generator] = None,
     restarts: int = 4,
     max_nfev: int = 200,
-    extra_guesses: Optional[Sequence[np.ndarray]] = None,
 ) -> ModelFit:
     """Fit one family to an observed learning-curve prefix.
 
@@ -120,11 +102,6 @@ def fit_model(
         y: observed performance values for epochs ``1..len(y)``.
         rng: randomness source for restart initialisation.
         restarts: number of optimiser starts (>= 1).
-        extra_guesses: additional starting points tried after the
-            generated ones — the warm-start hook used by the fit cache,
-            which seeds the optimiser with the solution of the ``n-1``
-            prefix.  Appending (not replacing) keeps the rng stream and
-            the cold-start guesses identical to a call without them.
 
     Returns:
         The best :class:`ModelFit` across restarts.  ``success`` is
@@ -149,11 +126,7 @@ def fit_model(
     best_jac: Optional[np.ndarray] = None
     succeeded = False
 
-    guesses = _initial_guesses(model, y_arr, rng, restarts)
-    if extra_guesses is not None:
-        guesses.extend(np.asarray(g, dtype=float) for g in extra_guesses)
-
-    for guess in guesses:
+    for guess in _initial_guesses(model, y_arr, rng, restarts):
         try:
             result = optimize.least_squares(
                 residuals,
@@ -210,22 +183,8 @@ def fit_all_models(
     rng: Optional[np.random.Generator] = None,
     restarts: int = 4,
     max_nfev: int = 200,
-    cache=None,
-    params_key: Optional[Tuple] = None,
 ) -> Dict[str, ModelFit]:
     """Fit every registered family (or a subset) to the observed prefix.
-
-    Args:
-        cache: optional prefix-keyed fit cache (duck-typed; see
-            :class:`repro.curves.engine.FitCache`).  Fits are memoized
-            on ``(family, curve prefix, params_key)``; a miss is
-            warm-started from the cached fit of the ``n-1`` prefix so
-            per-epoch refits reuse the previous solution instead of
-            starting cold.
-        params_key: hashable fingerprint of the fitting configuration
-            (restarts, budgets, seed, ...).  Required when ``cache`` is
-            given — entries fitted under different parameters must not
-            alias.
 
     Returns a mapping from model name to its :class:`ModelFit`.
     """
@@ -233,31 +192,7 @@ def fit_all_models(
         models = CURVE_MODELS.values()
     if rng is None:
         rng = np.random.default_rng(0)
-    if cache is None:
-        return {
-            m.name: fit_model(
-                m, y, rng=rng, restarts=restarts, max_nfev=max_nfev
-            )
-            for m in models
-        }
-    if params_key is None:
-        raise ValueError("params_key is required when a fit cache is given")
-    y_arr = np.asarray(y, dtype=float)
-    key = curve_cache_key(y_arr)
-    prev_key = curve_cache_key(y_arr[:-1]) if y_arr.size > 2 else None
-    fits: Dict[str, ModelFit] = {}
-    for m in models:
-        fit = cache.get(m.name, key, params_key)
-        if fit is None:
-            extra = None
-            if prev_key is not None:
-                warm = cache.peek(m.name, prev_key, params_key)
-                if warm is not None and warm.success:
-                    extra = [warm.theta]
-            fit = fit_model(
-                m, y_arr, rng=rng, restarts=restarts,
-                max_nfev=max_nfev, extra_guesses=extra,
-            )
-            cache.put(m.name, key, params_key, fit, warm_started=extra is not None)
-        fits[m.name] = fit
-    return fits
+    return {
+        m.name: fit_model(m, y, rng=rng, restarts=restarts, max_nfev=max_nfev)
+        for m in models
+    }

@@ -150,7 +150,6 @@ class MCMCCurvePredictor(CurvePredictor):
         max_posterior_samples: int = 800,
         seed: int = 0,
         model_names: Optional[Sequence[str]] = None,
-        fit_cache=None,
     ) -> None:
         if not 0.0 <= burn_fraction < 1.0:
             raise ValueError("burn_fraction must be in [0, 1)")
@@ -160,13 +159,6 @@ class MCMCCurvePredictor(CurvePredictor):
         self.thin = max(1, thin)
         self.max_posterior_samples = max_posterior_samples
         self.seed = seed
-        self._model_names = None if model_names is None else tuple(model_names)
-        #: Optional prefix-keyed fit cache
-        #: (:class:`repro.curves.engine.FitCache`): the least-squares
-        #: fits that seed the walkers are memoized per prefix and
-        #: warm-started from the ``n-1`` prefix, so the MCMC initial
-        #: state reuses the previous epoch's solution.
-        self.fit_cache = fit_cache
         if model_names is None:
             self._ensemble = CurveEnsemble()
         else:
@@ -175,10 +167,6 @@ class MCMCCurvePredictor(CurvePredictor):
             self._ensemble = CurveEnsemble(
                 [get_model(name) for name in model_names]
             )
-
-    def _cache_params_key(self) -> tuple:
-        names = self._model_names or tuple(m.name for m in self._ensemble.models)
-        return ("mcmc-init", names, self.seed)
 
     def predict(
         self, observed: Sequence[float], n_future: int
@@ -191,16 +179,7 @@ class MCMCCurvePredictor(CurvePredictor):
             )
         rng = np.random.default_rng(self.seed + y.size)
         ensemble = self._ensemble
-        fits = None
-        if self.fit_cache is not None:
-            fits = fit_all_models(
-                y,
-                models=ensemble.models,
-                rng=rng,
-                cache=self.fit_cache,
-                params_key=self._cache_params_key(),
-            )
-        center = ensemble.initial_vector(y, fits=fits, rng=rng)
+        center = ensemble.initial_vector(y, rng=rng)
         walkers = ensemble.scatter_around(center, self.n_walkers, rng)
         sampler = EnsembleSampler(
             n_walkers=self.n_walkers,
@@ -265,7 +244,6 @@ class LeastSquaresCurvePredictor(CurvePredictor):
         model_names: Optional[Sequence[str]] = None,
         max_nfev: int = 200,
         horizon_inflation: float = 0.15,
-        fit_cache=None,
     ) -> None:
         if n_sample_curves < 2:
             raise ValueError("need at least 2 sample curves")
@@ -276,7 +254,6 @@ class LeastSquaresCurvePredictor(CurvePredictor):
         self.min_noise = min_noise
         self.seed = seed
         self.horizon_inflation = horizon_inflation
-        self._model_names = None if model_names is None else tuple(model_names)
         if model_names is None:
             self._models = None
         else:
@@ -284,22 +261,6 @@ class LeastSquaresCurvePredictor(CurvePredictor):
 
             self._models = [get_model(name) for name in model_names]
         self.max_nfev = max_nfev
-        #: Optional prefix-keyed fit cache
-        #: (:class:`repro.curves.engine.FitCache`).  When attached,
-        #: per-family fits are memoized on the exact observed prefix
-        #: and warm-started from the ``n-1`` prefix; the sampling rng
-        #: then switches to a stream decoupled from fit computation so
-        #: a cache hit and a cold refit yield the identical prediction.
-        #: When None (the default) the legacy code path runs unchanged.
-        self.fit_cache = fit_cache
-
-    def _cache_params_key(self) -> tuple:
-        names = self._model_names
-        if names is None:
-            from .models import model_names as all_names
-
-            names = tuple(all_names())
-        return ("ls", names, self.restarts, self.max_nfev, self.seed)
 
     def predict(
         self, observed: Sequence[float], n_future: int
@@ -311,29 +272,13 @@ class LeastSquaresCurvePredictor(CurvePredictor):
                 f" got {y.size}"
             )
         rng = np.random.default_rng(self.seed + 7919 * y.size)
-        if self.fit_cache is not None:
-            fits = fit_all_models(
-                y,
-                models=self._models,
-                rng=rng,
-                restarts=self.restarts,
-                max_nfev=self.max_nfev,
-                cache=self.fit_cache,
-                params_key=self._cache_params_key(),
-            )
-            # Fresh sampling stream, independent of how many fits the
-            # cache skipped: hot and cold calls sample identically.
-            rng = np.random.default_rng(
-                (self.seed + 7919 * y.size) ^ 0x5F3759DF
-            )
-        else:
-            fits = fit_all_models(
-                y,
-                models=self._models,
-                rng=rng,
-                restarts=self.restarts,
-                max_nfev=self.max_nfev,
-            )
+        fits = fit_all_models(
+            y,
+            models=self._models,
+            rng=rng,
+            restarts=self.restarts,
+            max_nfev=self.max_nfev,
+        )
         usable = [f for f in fits.values() if np.isfinite(f.mse)]
         horizon = np.arange(y.size + 1, y.size + n_future + 1, dtype=float)
 
@@ -430,10 +375,6 @@ class InstrumentedCurvePredictor(CurvePredictor):
         self._fits_total = recorder.metrics.counter(
             "predictor_fits_total", help="Curve predictions computed"
         )
-
-    @property
-    def inner(self) -> CurvePredictor:
-        return self._inner
 
     def min_observations(self) -> int:
         return self._inner.min_observations()

@@ -104,7 +104,6 @@ class CellStore:
                 "label": payload.get("label"),
                 "wall_seconds": payload.get("wall_seconds"),
                 "cpu_seconds": telemetry.get("cpu_seconds"),
-                "cache_hit_rate": telemetry.get("prediction_cache_hit_rate"),
             },
             sort_keys=True,
         )

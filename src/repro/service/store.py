@@ -24,6 +24,7 @@ on every event so a killed process loses nothing already reported.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import threading
 import time
@@ -202,25 +203,33 @@ class RunStore:
         with self._lock:
             handle = self._handles.get(exp_id)
             if handle is None:
-                handle = self.journal_path(exp_id).open("a", encoding="utf-8")
+                path = self.journal_path(exp_id)
+                _cut_torn_tail(path)
+                handle = path.open("a", encoding="utf-8")
                 self._handles[exp_id] = handle
             handle.write(line)
             handle.write("\n")
             handle.flush()
 
     def read_events(self, exp_id: str, offset: int = 0) -> List[Dict[str, Any]]:
-        """Decoded journal events, skipping the first ``offset`` lines."""
+        """Decoded journal events, skipping the first ``offset`` lines.
+
+        A final line with no newline that does not decode is an append
+        torn by a kill and is skipped; a corrupt interior line raises.
+        """
         path = self.journal_path(exp_id)
         if not path.exists():
             return []
         events = []
         with path.open("r", encoding="utf-8") as handle:
             for index, line in enumerate(handle):
-                if index < offset:
+                if index < offset or not line.strip():
                     continue
-                line = line.strip()
-                if line:
+                try:
                     events.append(json.loads(line))
+                except json.JSONDecodeError:
+                    if line.endswith("\n"):
+                        raise
         return events
 
     def journal_exporter(self, exp_id: str) -> "JournalExporter":
@@ -512,6 +521,29 @@ class RunStore:
         if record is None:
             raise KeyError(f"unknown experiment {exp_id!r}")
         return record.checkpoint
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Cut a journal back to its last newline before appending to it.
+
+    Every append writes its event and newline in one flush, so a final
+    line without a newline is an append that a kill interrupted, never
+    an acknowledged event.  Appending after it would turn the fragment
+    into a corrupt interior line.
+    """
+    try:
+        fh = path.open("rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 class JournalExporter(EventExporter):

@@ -42,9 +42,6 @@ class Submission:
         time_scale: wall seconds per simulated second (live runtime).
         checkpoint_every: epochs between service checkpoints written to
             the run store (progress visibility + resume bookkeeping).
-        predict_workers: prediction process-pool size (§5.2 overlap);
-            1 keeps the legacy inline predictor, which is the
-            deterministic default.
         tenant: broker tenant this submission bills to (quotas, rate
             limits, budget accounting).
         priority: admission priority — higher claims first; a strictly
@@ -69,7 +66,6 @@ class Submission:
     live: bool = False
     time_scale: float = 1e-3
     checkpoint_every: int = 25
-    predict_workers: int = 1
     tenant: str = "default"
     priority: int = 0
     deadline_hours: Optional[float] = None
@@ -96,8 +92,6 @@ class Submission:
             raise ValueError("time_scale must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.predict_workers < 1:
-            raise ValueError("predict_workers must be >= 1")
         if not self.tenant or not isinstance(self.tenant, str):
             raise ValueError("tenant must be a non-empty string")
         if not isinstance(self.priority, int) or isinstance(self.priority, bool):
@@ -163,5 +157,4 @@ class Submission:
             target=self.target,
             tmax=self.tmax_hours * 3600.0,
             stop_on_target=self.stop_on_target,
-            predict_workers=self.predict_workers,
         )

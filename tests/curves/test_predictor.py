@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from repro.curves.predictor import (
     CurvePrediction,
+    InstrumentedCurvePredictor,
     LastValuePredictor,
     LeastSquaresCurvePredictor,
     MCMCCurvePredictor,
 )
+from repro.observability import InMemoryExporter, Recorder
 
 
 def _rising_curve(n: int, final=0.8, half=20.0, steep=2.0, noise=0.008, seed=0):
@@ -213,3 +215,49 @@ def test_achieve_by_monotone_for_any_curve(final, n_obs, target):
     probs = pred.achieve_by_probabilities(target)
     assert np.all(np.diff(probs) >= -1e-12)
     assert np.all((probs >= 0) & (probs <= 1))
+
+
+# --------------------------------------------- InstrumentedCurvePredictor
+
+
+def _small_ls_predictor() -> LeastSquaresCurvePredictor:
+    return LeastSquaresCurvePredictor(
+        n_sample_curves=30,
+        restarts=1,
+        model_names=("pow3", "weibull", "mmf", "ilog2"),
+        max_nfev=40,
+        seed=5,
+    )
+
+
+class TestInstrumentedTimings:
+    """Regression: predictor timings must come from a monotonic clock.
+
+    Wall-clock sources (``time.time``) can step backwards under NTP
+    adjustment and record negative durations; the instrumented wrapper
+    therefore takes its timestamps from ``time.monotonic`` (injectable
+    here so the invariant is testable).
+    """
+
+    def test_durations_use_injected_monotonic_clock(self):
+        recorder = Recorder(exporter=InMemoryExporter())
+        ticks = iter([10.0, 10.25, 11.0, 11.5])
+        wrapped = InstrumentedCurvePredictor(
+            _small_ls_predictor(), recorder, monotonic_clock=lambda: next(ticks)
+        )
+        wrapped.predict(_rising_curve(8), 3)
+        wrapped.predict(_rising_curve(8), 3)
+        histogram = recorder.metrics.histogram("predictor_fit_seconds")
+        backend = "LeastSquaresCurvePredictor"
+        assert histogram.count(backend=backend) == 2
+        assert histogram.sum(backend=backend) == pytest.approx(0.75)
+
+    def test_default_clock_records_nonnegative_durations(self):
+        recorder = Recorder(exporter=InMemoryExporter())
+        wrapped = InstrumentedCurvePredictor(_small_ls_predictor(), recorder)
+        for _ in range(3):
+            wrapped.predict(_rising_curve(8), 3)
+        histogram = recorder.metrics.histogram("predictor_fit_seconds")
+        backend = "LeastSquaresCurvePredictor"
+        assert histogram.count(backend=backend) == 3
+        assert histogram.quantile(0.0, backend=backend) >= 0.0

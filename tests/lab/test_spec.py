@@ -88,8 +88,6 @@ def test_invalid_scalar_knobs_rejected():
         make_spec(tmax_hours=0.0)
     with pytest.raises(ValueError, match="machines"):
         make_spec(machines=(0,))
-    with pytest.raises(ValueError, match="predict_workers"):
-        make_spec(predict_workers=0)
 
 
 # -------------------------------------------------------------- expansion
@@ -123,10 +121,12 @@ def test_json_round_trip(tmp_path):
 
 
 def test_from_dict_rejects_unknown_fields():
-    payload = make_spec().to_dict()
-    payload["paralellism"] = 4
-    with pytest.raises(ValueError, match="unknown StudySpec fields: paralellism"):
-        StudySpec.from_dict(payload)
+    # A typo, and a field that older versions accepted.
+    for name in ("paralellism", "predict_workers"):
+        payload = make_spec().to_dict()
+        payload[name] = 4
+        with pytest.raises(ValueError, match=f"unknown StudySpec fields: {name}"):
+            StudySpec.from_dict(payload)
 
 
 def test_from_json_file_rejects_non_object(tmp_path):
@@ -200,8 +200,6 @@ def test_cell_label_mentions_distinguishing_parts():
         target=None,
         tmax_hours=1.0,
         stop_on_target=True,
-        predict_workers=1,
-        predict_cache_size=0,
     )
     assert cell.label() == "cifar10/pop/8m/s3/o5"
     assert "random" in cell.__class__(**{**cell.__dict__, "generator": "random"}).label()

@@ -98,6 +98,10 @@ def test_invalid_submission_is_400(client):
     with pytest.raises(ServiceError) as excinfo:
         client.submit({"bogus_field": 1})
     assert excinfo.value.status == 400
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit({"predict_workers": 2})
+    assert excinfo.value.status == 400
+    assert "unknown submission fields: predict_workers" in str(excinfo.value)
 
 
 def test_unknown_route_is_404(client):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.service.store import (
@@ -35,8 +37,10 @@ def test_submit_accepts_plain_dict(store):
 
 
 def test_submit_rejects_unknown_fields(store):
-    with pytest.raises(ValueError, match="unknown submission fields"):
-        store.submit({"workloadd": "mlp"})
+    # A typo, and a field that older versions accepted.
+    for name in ("workloadd", "predict_workers"):
+        with pytest.raises(ValueError, match=f"unknown submission fields: {name}"):
+            store.submit({name: 2})
 
 
 def test_submission_rejects_unknown_component_names():
@@ -124,6 +128,41 @@ def test_read_events_offset(store, small_submission):
     all_events = store.read_events(record.id)
     assert store.read_events(record.id, offset=len(all_events) - 1)[0]["n"] == 2
 
+
+def _torn_journal(tmp_path, small_submission):
+    """A closed store whose journal ends in half an event, as a kill
+    mid-append leaves it."""
+    store = RunStore(tmp_path / "runs")
+    record = store.submit(small_submission)
+    store.append_event(record.id, "custom", n=1)
+    store.close()
+    with store.journal_path(record.id).open("a", encoding="utf-8") as fh:
+        fh.write('{"kind":"custom","n":')
+    return record.id
+
+
+def test_read_events_skips_torn_trailing_line(tmp_path, small_submission):
+    exp_id = _torn_journal(tmp_path, small_submission)
+    store = RunStore(tmp_path / "runs")
+    assert [e["kind"] for e in store.read_events(exp_id)] == ["submitted", "custom"]
+
+
+def test_append_after_reopen_cuts_torn_tail(tmp_path, small_submission):
+    exp_id = _torn_journal(tmp_path, small_submission)
+    store = RunStore(tmp_path / "runs")
+    store.append_event(exp_id, "custom", n=2)
+    store.append_event(exp_id, "custom", n=3)
+    events = store.read_events(exp_id)
+    assert [e.get("n") for e in events] == [None, 1, 2, 3]
+
+
+def test_corrupt_interior_line_still_raises(tmp_path, small_submission):
+    exp_id = _torn_journal(tmp_path, small_submission)
+    store = RunStore(tmp_path / "runs")
+    with store.journal_path(exp_id).open("a", encoding="utf-8") as fh:
+        fh.write('\n{"kind":"custom","n":2}\n')
+    with pytest.raises(json.JSONDecodeError):
+        store.read_events(exp_id)
 
 def test_minted_configs_roundtrip(store, small_submission):
     record = store.submit(small_submission)
